@@ -14,10 +14,10 @@
 // read_calls_isolated at equal reconstructions.
 //
 // A third block drives the same schedule through the network daemon over a
-// loopback socket (RemoteReader -> ipc serve), once with the mmap storage
-// path and once with plain fread, measuring remote throughput and the
-// compressed bytes actually on the wire against the logical bytes delivered
-// and the resend-everything baseline a non-progressive protocol would move.
+// loopback socket (RemoteReader -> ipc serve), measuring remote throughput
+// and the compressed bytes actually on the wire against the logical bytes
+// delivered and the resend-everything baseline a non-progressive protocol
+// would move.
 //
 // A fourth block measures the v4 integrity machinery itself: checksum64
 // (word-parallel XXH64) over every segment payload of the bench archive,
@@ -152,15 +152,14 @@ struct DaemonResult {
 };
 
 /// The shared-mode schedule replayed by remote clients over one loopback
-/// daemon.  `use_mmap` picks the server's storage path.
+/// daemon.
 DaemonResult run_daemon(const std::string& path, int clients, const Dims& dims,
-                        std::size_t cache_bytes, bool use_mmap) {
+                        std::size_t cache_bytes) {
   net::ServerConfig cfg;
   cfg.listen = "127.0.0.1:0";
   cfg.workers = static_cast<unsigned>(clients);
   cfg.serve.cache_capacity_bytes = cache_bytes;
   cfg.serve.io_threads = 2;
-  cfg.serve.use_mmap = use_mmap;
   net::Server server(cfg);
   server.export_file("bench", path);
   server.start();
@@ -276,10 +275,7 @@ int main(int argc, char** argv) {
   CacheStats cache;
   ModeResult shared = run_shared(path, clients, dims, std::size_t{64} << 20, cache);
   ModeResult isolated = run_isolated(path, clients, dims);
-  DaemonResult daemon_mmap =
-      run_daemon(path, clients, dims, std::size_t{64} << 20, /*use_mmap=*/true);
-  DaemonResult daemon_fread =
-      run_daemon(path, clients, dims, std::size_t{64} << 20, /*use_mmap=*/false);
+  DaemonResult daemon = run_daemon(path, clients, dims, std::size_t{64} << 20);
   const IntegrityResult integrity = run_integrity(archive);
   std::remove(path.c_str());
 
@@ -291,8 +287,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: client %d diverged between modes\n", c);
       return 1;
     }
-    if (daemon_mmap.outputs[i] != shared.outputs[i] ||
-        daemon_fread.outputs[i] != shared.outputs[i]) {
+    if (daemon.outputs[i] != shared.outputs[i]) {
       std::fprintf(stderr,
                    "FAIL: remote client %d diverged from the local tier\n", c);
       return 1;
@@ -313,19 +308,15 @@ int main(int argc, char** argv) {
                   static_cast<double>(shared.bytes_read ? shared.bytes_read : 1),
               throughput);
 
-  const double tp_mmap = static_cast<double>(daemon_mmap.requests) /
-                         (daemon_mmap.seconds > 0 ? daemon_mmap.seconds : 1e-9);
-  const double tp_fread =
-      static_cast<double>(daemon_fread.requests) /
-      (daemon_fread.seconds > 0 ? daemon_fread.seconds : 1e-9);
-  std::printf("daemon   : mmap %6.3f s (%.0f req/s), fread %6.3f s (%.0f req/s)\n",
-              daemon_mmap.seconds, tp_mmap, daemon_fread.seconds, tp_fread);
+  const double tp_daemon = static_cast<double>(daemon.requests) /
+                           (daemon.seconds > 0 ? daemon.seconds : 1e-9);
+  std::printf("daemon   : %6.3f s (%.0f req/s)\n", daemon.seconds, tp_daemon);
   std::printf("wire     : %zu payload bytes for %zu logical (resend baseline %zu, %.1fx saved)\n",
-              static_cast<std::size_t>(daemon_mmap.wire_bytes),
-              static_cast<std::size_t>(daemon_mmap.logical_bytes),
-              static_cast<std::size_t>(daemon_mmap.resend_bytes),
-              static_cast<double>(daemon_mmap.resend_bytes) /
-                  static_cast<double>(daemon_mmap.wire_bytes ? daemon_mmap.wire_bytes : 1));
+              static_cast<std::size_t>(daemon.wire_bytes),
+              static_cast<std::size_t>(daemon.logical_bytes),
+              static_cast<std::size_t>(daemon.resend_bytes),
+              static_cast<double>(daemon.resend_bytes) /
+                  static_cast<double>(daemon.wire_bytes ? daemon.wire_bytes : 1));
 
   std::printf("integrity: %.2f GB/s verifying %zu segments (%zu bytes)\n",
               integrity.verify_gbps, integrity.segments, integrity.bytes);
@@ -340,14 +331,13 @@ int main(int argc, char** argv) {
   // Progressive transfer is the protocol's point: the wire must carry no
   // more than the ledger's bytes_new and strictly less than re-sending the
   // accumulated state at every step.
-  if (daemon_mmap.wire_bytes == 0 ||
-      daemon_mmap.wire_bytes > daemon_mmap.logical_bytes ||
-      daemon_mmap.wire_bytes >= daemon_mmap.resend_bytes) {
+  if (daemon.wire_bytes == 0 || daemon.wire_bytes > daemon.logical_bytes ||
+      daemon.wire_bytes >= daemon.resend_bytes) {
     std::fprintf(stderr,
                  "FAIL: wire accounting broken (wire %zu, logical %zu, resend %zu)\n",
-                 static_cast<std::size_t>(daemon_mmap.wire_bytes),
-                 static_cast<std::size_t>(daemon_mmap.logical_bytes),
-                 static_cast<std::size_t>(daemon_mmap.resend_bytes));
+                 static_cast<std::size_t>(daemon.wire_bytes),
+                 static_cast<std::size_t>(daemon.logical_bytes),
+                 static_cast<std::size_t>(daemon.resend_bytes));
     return 1;
   }
 
@@ -381,16 +371,14 @@ int main(int argc, char** argv) {
     std::fprintf(json, "  \"seconds_shared\": %.4f,\n", shared.seconds);
     std::fprintf(json, "  \"seconds_isolated\": %.4f,\n", isolated.seconds);
     std::fprintf(json, "  \"daemon\": {\n");
-    std::fprintf(json, "    \"throughput_req_s_mmap\": %.3f,\n", tp_mmap);
-    std::fprintf(json, "    \"throughput_req_s_fread\": %.3f,\n", tp_fread);
+    std::fprintf(json, "    \"throughput_req_s\": %.3f,\n", tp_daemon);
     std::fprintf(json, "    \"wire_payload_bytes\": %zu,\n",
-                 static_cast<std::size_t>(daemon_mmap.wire_bytes));
+                 static_cast<std::size_t>(daemon.wire_bytes));
     std::fprintf(json, "    \"logical_bytes\": %zu,\n",
-                 static_cast<std::size_t>(daemon_mmap.logical_bytes));
+                 static_cast<std::size_t>(daemon.logical_bytes));
     std::fprintf(json, "    \"resend_baseline_bytes\": %zu,\n",
-                 static_cast<std::size_t>(daemon_mmap.resend_bytes));
-    std::fprintf(json, "    \"seconds_mmap\": %.4f,\n", daemon_mmap.seconds);
-    std::fprintf(json, "    \"seconds_fread\": %.4f\n", daemon_fread.seconds);
+                 static_cast<std::size_t>(daemon.resend_bytes));
+    std::fprintf(json, "    \"seconds\": %.4f\n", daemon.seconds);
     std::fprintf(json, "  },\n");
     std::fprintf(json, "  \"integrity\": {\n");
     std::fprintf(json, "    \"verify_gbps\": %.3f,\n", integrity.verify_gbps);

@@ -77,9 +77,8 @@ done
 
 # Raw socket plumbing stays confined to src/net/: no other library code may
 # include the socket headers (and so can never grow a second, unframed wire
-# path).  <sys/mman.h> in io/mmap_source.cpp is storage, not sockets, and
-# tests/bench/examples sit outside src_files on purpose — forged-frame tests
-# need raw sends.
+# path).  Tests/bench/examples sit outside src_files on purpose — forged-
+# frame tests need raw sends.
 for f in "${src_files[@]}"; do
   case "$f" in src/net/*) continue ;; esac
   while IFS=: read -r line _; do

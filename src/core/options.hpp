@@ -41,11 +41,11 @@ struct Options {
   CodecPolicy codec = CodecPolicy::kProbe;
 
   /// Record a per-segment XXH64 checksum at build time (archive container
-  /// v4, wrapping whichever base version the backend picks).  Every physical
-  /// read — file, mmap, cache insert, wire frame — then verifies the payload
-  /// and surfaces IntegrityError instead of corrupt data.  Off reproduces
-  /// the pre-v4 container byte-for-byte (golden archives, size-sensitive
-  /// comparisons against other compressors).
+  /// v4, wrapping whichever base version the backend picks).  Every storage
+  /// read (memory or file), cache insert and wire frame then verifies the
+  /// payload and surfaces IntegrityError instead of corrupt data.  Off
+  /// reproduces the pre-v4 container byte-for-byte (golden archives,
+  /// size-sensitive comparisons against other compressors).
   bool integrity = true;
 
   /// Side length of the cubic blocks the field is decomposed into (archive

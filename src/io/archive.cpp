@@ -1,6 +1,11 @@
 #include "io/archive.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <stdexcept>
 
@@ -59,24 +64,9 @@ IntegrityError::IntegrityError(SegmentId segment, std::uint64_t expected,
       actual_(actual),
       layer_(layer) {}
 
-std::vector<Bytes> SegmentSource::read_many(std::span<const SegmentId> ids) {
-  std::vector<Bytes> out;
-  out.reserve(ids.size());
-  std::size_t delivered = 0;
-  try {
-    for (const SegmentId& id : ids) {
-      out.push_back(read_segment(id));
-      delivered += out.back().size();
-    }
-  } catch (...) {
-    // A mid-batch failure delivers nothing, so nothing may stay charged —
-    // same all-or-nothing accounting as FileSource::read_many, keeping a
-    // retried execute() from double-counting retrieved volume.  Only this
-    // batch's charges are rolled back; fetches on other threads keep theirs.
-    uncharge_bytes(delivered);
-    throw;
-  }
-  return out;
+Bytes SegmentSource::read_segment(SegmentId id) {
+  std::vector<Bytes> one = read_many({&id, 1});
+  return std::move(one.front());
 }
 
 namespace {
@@ -125,9 +115,12 @@ Bytes ArchiveBuilder::finish() const {
   return w.take();
 }
 
-ArchiveIndex ArchiveIndex::parse(std::span<const std::uint8_t> head_bytes,
-                                 std::size_t total_size) {
-  ByteReader r(head_bytes);
+ArchiveIndex ArchiveIndex::parse(std::size_t total_size,
+                                 const RangeReader& read) {
+  // Fixed words (magic, container[, base, algo]) and the header_len varint.
+  constexpr std::size_t kMaxFixed = 4 + 4 + 4 + 1;
+  constexpr std::size_t kMaxVarint = 10;
+  ByteReader r(read(0, std::min(total_size, kMaxFixed + kMaxVarint)));
   if (r.u32() != kMagic) throw std::runtime_error("archive: bad magic");
   ArchiveIndex idx;
   idx.container = r.u32();
@@ -148,16 +141,27 @@ ArchiveIndex ArchiveIndex::parse(std::span<const std::uint8_t> head_bytes,
   idx.total_size = total_size;
   idx.header_length = r.varint();
   idx.header_offset = r.position();
-  // Skip over the header payload to reach the segment table.
-  r.bytes(idx.header_length);
-  std::size_t count = r.varint();
+  if (idx.header_length > total_size - idx.header_offset) {
+    throw std::runtime_error("archive: truncated");
+  }
+
+  // The segment count, just past the (skipped) header payload.
+  std::size_t pos = idx.header_offset + idx.header_length;
+  ByteReader rc(read(pos, std::min(total_size, pos + kMaxVarint)));
+  const std::size_t count = rc.varint();
+  pos += rc.position();
   // Each table row encodes to at least 9 bytes (u64 key + 1-byte varint;
   // +8 for the v4 checksum column); a forged count must not drive the
   // reserve() allocation below.
-  const std::size_t min_row = idx.has_checksums ? 17 : 9;
-  if (count > r.remaining() / min_row) {
+  const std::size_t tail = idx.has_checksums ? 8 : 0;
+  const std::size_t min_row = 9 + tail;
+  if (count > (total_size - pos) / min_row) {
     throw std::runtime_error("archive: bad segment count");
   }
+
+  // Rows are variable-length, but every unread row is at least min_row
+  // bytes: read that lower bound, decode the rows it holds whole, and read
+  // again from the first partial row.  No read passes the table's end.
   struct Row {
     std::uint64_t key;
     std::size_t len;
@@ -165,14 +169,36 @@ ArchiveIndex ArchiveIndex::parse(std::span<const std::uint8_t> head_bytes,
   };
   std::vector<Row> rows;
   rows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Row row{};
-    row.key = r.u64();
-    row.len = r.varint();
-    if (idx.has_checksums) row.checksum = r.u64();
-    rows.push_back(row);
+  std::size_t partial = 0;  // bytes of a row the previous read cut short
+  while (rows.size() < count) {
+    const std::size_t want =
+        std::max((count - rows.size()) * min_row, partial + 1);
+    if (want > total_size - pos) throw std::runtime_error("archive: truncated");
+    const std::span<const std::uint8_t> chunk = read(pos, pos + want);
+    std::size_t used = 0;
+    while (rows.size() < count) {
+      // Row length once its varint's last byte is in view (a varint longer
+      // than kMaxVarint is cut there and rejected by the decode below).
+      std::size_t n = 8;
+      while (used + n < chunk.size() && n < 8 + kMaxVarint - 1 &&
+             (chunk[used + n] & 0x80) != 0) {
+        ++n;
+      }
+      n += 1 + tail;
+      if (n > chunk.size() - used) break;
+      ByteReader row_reader(chunk.subspan(used, n));
+      Row row{};
+      row.key = row_reader.u64();
+      row.len = row_reader.varint();
+      if (idx.has_checksums) row.checksum = row_reader.u64();
+      rows.push_back(row);
+      used += n;
+    }
+    partial = chunk.size() - used;
+    pos += used;
   }
-  std::size_t offset = r.position();
+
+  std::size_t offset = pos;
   for (const Row& row : rows) {
     // Checked per entry so a huge forged len cannot wrap offset += len.
     if (row.len > total_size - offset) throw std::runtime_error("archive: truncated");
@@ -187,6 +213,14 @@ ArchiveIndex ArchiveIndex::parse(std::span<const std::uint8_t> head_bytes,
   return idx;
 }
 
+ArchiveIndex ArchiveIndex::parse(std::span<const std::uint8_t> archive,
+                                 std::size_t total_size) {
+  return parse(total_size, [archive](std::size_t begin, std::size_t end) {
+    if (end > archive.size()) throw std::runtime_error("archive: truncated");
+    return archive.subspan(begin, end - begin);
+  });
+}
+
 void ArchiveIndex::verify(const Entry& entry,
                           std::span<const std::uint8_t> payload) const {
   if (!has_checksums) return;
@@ -198,43 +232,124 @@ void ArchiveIndex::verify(const Entry& entry,
   }
 }
 
-MemorySource::MemorySource(Bytes archive) : blob_(std::move(archive)) {
-  index_ = ArchiveIndex::parse({blob_.data(), blob_.size()}, blob_.size());
+IndexedSource::IndexedSource(Bytes blob)
+    : blob_(std::move(blob)), size_(blob_.size()) {
+  index_ = ArchiveIndex::parse({blob_.data(), blob_.size()}, size_);
 }
 
-const Bytes& MemorySource::header() {
-  if (header_cache_.empty()) {
-    header_cache_.assign(blob_.begin() + index_.header_offset,
-                         blob_.begin() + index_.header_offset + index_.header_length);
+IndexedSource::IndexedSource(const std::string& path)
+    : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+  if (fd_ < 0) throw std::runtime_error("cannot open file: " + path);
+  try {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) {
+      throw std::runtime_error("cannot stat file: " + path);
+    }
+    size_ = static_cast<std::size_t>(st.st_size);
+    Bytes buf;
+    index_ = ArchiveIndex::parse(
+        size_, [&](std::size_t begin, std::size_t end) {
+          return bytes(begin, end, buf);
+        });
+  } catch (...) {
+    // The destructor does not run for a throwing constructor.
+    ::close(fd_);
+    throw;
   }
-  if (!header_charged_) {
-    // Header + segment table are the fixed cost of opening the archive.
+}
+
+IndexedSource::~IndexedSource() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+std::span<const std::uint8_t> IndexedSource::bytes(std::size_t begin,
+                                                   std::size_t end,
+                                                   Bytes& buf) const {
+  if (fd_ < 0) return {blob_.data() + begin, end - begin};
+  buf.resize(end - begin);
+  for (std::size_t got = 0; got < buf.size();) {
+    const ssize_t n = ::pread(fd_, buf.data() + got, buf.size() - got,
+                              static_cast<off_t>(begin + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw std::runtime_error("archive: short read");
+    got += static_cast<std::size_t>(n);
+  }
+  return buf;
+}
+
+const ArchiveIndex::Entry& IndexedSource::entry(SegmentId id) const {
+  auto it = index_.entries.find(id.key(index_.version));
+  if (it == index_.entries.end()) throw std::runtime_error("archive: missing segment");
+  return it->second;
+}
+
+const Bytes& IndexedSource::header() {
+  if (!header_loaded_) {
+    Bytes buf;
+    const std::span<const std::uint8_t> h = bytes(
+        index_.header_offset, index_.header_offset + index_.header_length, buf);
+    header_cache_.assign(h.begin(), h.end());
+    // The fixed words and header are the one-time cost of opening.
     charge_bytes(index_.header_offset + index_.header_length);
     count_read_call();
-    header_charged_ = true;
+    header_loaded_ = true;
   }
   return header_cache_;
 }
 
-Bytes MemorySource::read_segment(SegmentId id) {
-  auto it = index_.entries.find(id.key(index_.version));
-  if (it == index_.entries.end()) throw std::runtime_error("archive: missing segment");
-  // Verified (and only then charged) before the payload is handed out.
-  index_.verify(it->second, {blob_.data() + it->second.offset, it->second.length});
-  charge_bytes(it->second.length);
-  count_read_call();
-  return Bytes(blob_.begin() + it->second.offset,
-               blob_.begin() + it->second.offset + it->second.length);
-}
+std::vector<Bytes> IndexedSource::read_many(std::span<const SegmentId> ids) {
+  // Resolve every id up front (so a missing segment throws before any read),
+  // then visit the batch in offset order: requests usually arrive in table
+  // order already, but plane segments of one level are planned MSB-first
+  // while the archive stores them LSB-first.
+  struct Item {
+    std::size_t idx;  // position in the request (and output) order
+    const ArchiveIndex::Entry* entry;
+  };
+  std::vector<Item> items;
+  items.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    items.push_back({i, &entry(ids[i])});
+  }
+  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    return a.entry->offset < b.entry->offset;
+  });
 
-bool MemorySource::has_segment(SegmentId id) const {
-  return index_.entries.contains(id.key(index_.version));
-}
-
-std::size_t MemorySource::segment_size(SegmentId id) const {
-  auto it = index_.entries.find(id.key(index_.version));
-  if (it == index_.entries.end()) throw std::runtime_error("archive: missing segment");
-  return it->second.length;
+  std::vector<Bytes> out(ids.size());
+  std::size_t charged = 0;
+  Bytes buf;
+  for (std::size_t i = 0; i < items.size();) {
+    // Coalesce the run of segments whose ranges start within
+    // kCoalesceGapBytes of the current range's end into one read; the gap
+    // bytes are read through but never charged to bytes_read.
+    const std::size_t begin = items[i].entry->offset;
+    std::size_t end = begin + items[i].entry->length;
+    std::size_t j = i + 1;
+    while (j < items.size() &&
+           items[j].entry->offset <= end + kCoalesceGapBytes) {
+      end = std::max(end, items[j].entry->offset + items[j].entry->length);
+      ++j;
+    }
+    const std::span<const std::uint8_t> run = bytes(begin, end, buf);
+    count_read_call();
+    count_coalesced_range();
+    for (; i < j; ++i) {
+      const ArchiveIndex::Entry& e = *items[i].entry;
+      const std::span<const std::uint8_t> slice =
+          run.subspan(e.offset - begin, e.length);
+      // Verified before it is handed out: a corrupt segment throws here.
+      index_.verify(e, slice);
+      out[items[i].idx].assign(slice.begin(), slice.end());
+      charged += e.length;
+    }
+  }
+  // Charged only once the whole batch delivered: a throw mid-batch (missing
+  // id, short read, checksum mismatch) must not inflate bytes_read with
+  // payloads that were never handed out, or the retrieved-volume metric —
+  // and the reader's sum(bytes_new) == bytes_total invariant across a
+  // retried execute() — drifts.
+  charge_bytes(charged);
+  return out;
 }
 
 namespace {
@@ -256,128 +371,6 @@ class File {
 };
 
 }  // namespace
-
-FileSource::FileSource(std::string path) : path_(std::move(path)) {
-  File f(path_, "rb");
-  std::fseek(f.get(), 0, SEEK_END);
-  file_size_ = static_cast<std::size_t>(std::ftell(f.get()));
-  // The index prefix (magic/version/header/table) precedes all payloads; read
-  // a bounded prefix large enough to hold it.  Headers carry per-plane size
-  // tables and stay in the tens of kilobytes.
-  std::size_t prefix = std::min<std::size_t>(file_size_, std::size_t{1} << 22);
-  std::fseek(f.get(), 0, SEEK_SET);
-  Bytes head(prefix);
-  if (std::fread(head.data(), 1, prefix, f.get()) != prefix) {
-    throw std::runtime_error("archive: short read of index prefix");
-  }
-  index_ = ArchiveIndex::parse({head.data(), head.size()}, file_size_);
-}
-
-const Bytes& FileSource::header() {
-  if (!header_loaded_) {
-    header_cache_ = read_range(index_.header_offset, index_.header_length);
-    charge_bytes(index_.header_offset + index_.header_length);
-    count_read_call();
-    header_loaded_ = true;
-  }
-  return header_cache_;
-}
-
-Bytes FileSource::read_segment(SegmentId id) {
-  auto it = index_.entries.find(id.key(index_.version));
-  if (it == index_.entries.end()) throw std::runtime_error("archive: missing segment");
-  Bytes payload = read_range(it->second.offset, it->second.length);
-  // Verified (and only then charged) before the payload is handed out.
-  index_.verify(it->second, {payload.data(), payload.size()});
-  charge_bytes(it->second.length);
-  count_read_call();
-  return payload;
-}
-
-std::vector<Bytes> FileSource::read_many(std::span<const SegmentId> ids) {
-  std::vector<Bytes> out(ids.size());
-  if (ids.empty()) return out;
-
-  // Resolve every id up front (so a missing segment throws before any read),
-  // then visit the batch in file-offset order: requests usually arrive in
-  // table order already, but plane segments of one level are planned
-  // MSB-first while the file stores them LSB-first.
-  struct Item {
-    std::size_t idx;  // position in the request (and output) order
-    std::size_t offset;
-    std::size_t length;
-    const ArchiveIndex::Entry* entry;
-  };
-  std::vector<Item> items;
-  items.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    auto it = index_.entries.find(ids[i].key(index_.version));
-    if (it == index_.entries.end()) {
-      throw std::runtime_error("archive: missing segment");
-    }
-    items.push_back({i, it->second.offset, it->second.length, &it->second});
-  }
-  std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.offset < b.offset; });
-
-  File f(path_, "rb");
-  Bytes buf;
-  for (std::size_t i = 0; i < items.size();) {
-    // Coalesce the run of segments whose ranges start within
-    // kCoalesceGapBytes of the current range's end into one read; the gap
-    // bytes are read through but never charged to bytes_read().
-    std::size_t begin = items[i].offset;
-    std::size_t end = begin + items[i].length;
-    std::size_t j = i + 1;
-    while (j < items.size() && items[j].offset <= end + kCoalesceGapBytes) {
-      end = std::max(end, items[j].offset + items[j].length);
-      ++j;
-    }
-    buf.resize(end - begin);
-    std::fseek(f.get(), static_cast<long>(begin), SEEK_SET);
-    if (!buf.empty() &&
-        std::fread(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
-      throw std::runtime_error("archive: short segment read");
-    }
-    count_read_call();
-    count_coalesced_range();
-    for (; i < j; ++i) {
-      const Item& item = items[i];
-      // Each slice is verified straight out of the coalesced buffer; a
-      // corrupt segment throws here, before the batch charges anything.
-      index_.verify(*item.entry,
-                    {buf.data() + (item.offset - begin), item.length});
-      out[item.idx].assign(buf.begin() + (item.offset - begin),
-                           buf.begin() + (item.offset - begin) + item.length);
-    }
-  }
-  // Charged only once the whole batch delivered: a throw mid-batch (missing
-  // id, short read) must not inflate bytes_read() with payloads that were
-  // never handed out, or the retrieved-volume metric — and the reader's
-  // Σ bytes_new == bytes_total invariant across a retried execute() — drifts.
-  for (const Item& item : items) charge_bytes(item.length);
-  return out;
-}
-
-bool FileSource::has_segment(SegmentId id) const {
-  return index_.entries.contains(id.key(index_.version));
-}
-
-std::size_t FileSource::segment_size(SegmentId id) const {
-  auto it = index_.entries.find(id.key(index_.version));
-  if (it == index_.entries.end()) throw std::runtime_error("archive: missing segment");
-  return it->second.length;
-}
-
-Bytes FileSource::read_range(std::size_t offset, std::size_t length) const {
-  File f(path_, "rb");
-  std::fseek(f.get(), static_cast<long>(offset), SEEK_SET);
-  Bytes out(length);
-  if (length > 0 && std::fread(out.data(), 1, length, f.get()) != length) {
-    throw std::runtime_error("archive: short segment read");
-  }
-  return out;
-}
 
 void write_file(const std::string& path, const Bytes& data) {
   File f(path, "wb");

@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -91,9 +92,9 @@ struct SegmentId {
 
 /// A segment's bytes did not match the checksum recorded at build time.
 /// `layer` names the trust boundary that caught it: kStorage (a physical
-/// Memory/File/Mmap read), kCache (SegmentCache insert), kWire (a SEGMENT
-/// frame on the client).  Thrown *instead of* delivering the payload, so
-/// corruption can never flow into reconstruction.
+/// read by an IndexedSource, memory or file store), kCache (SegmentCache
+/// insert), kWire (a SEGMENT frame on the client).  Thrown *instead of*
+/// delivering the payload, so corruption can never flow into reconstruction.
 class IntegrityError : public std::runtime_error {
  public:
   enum class Layer { kStorage, kCache, kWire };
@@ -171,9 +172,9 @@ struct SourceStats {
   /// coalesced bulk read counts once per contiguous range).  Benchmarks use
   /// segments-fetched / read_calls as the fetch-efficiency figure.
   std::size_t read_calls = 0;
-  /// Contiguous ranges issued by batching read_many implementations
-  /// (FileSource; each range is one read call).  Zero for per-segment
-  /// sources.
+  /// Contiguous ranges an IndexedSource read_many issued (each range is one
+  /// read call).  Zero for sources that never touch storage themselves
+  /// (pooled, session and staged sources).
   std::size_t coalesced_ranges = 0;
 };
 
@@ -183,8 +184,8 @@ struct SourceStats {
 /// Thread contract: const-safe, with internally-synchronized payload fetches
 /// and stat counters.  The parsed index is immutable after construction, so
 /// the const queries (has_segment, segment_size, segment_ids, version,
-/// total_size) are safe from any thread.  read_segment/read_many of the
-/// concrete sources touch only the immutable index, operation-local state
+/// total_size) are safe from any thread.  read_segment/read_many of
+/// IndexedSource touch only the immutable index, operation-local state
 /// and the atomic stat counters, so concurrent fetches are safe — this is
 /// what lets the serve layer's PooledSource dispatch merged batches from
 /// several workers at once.  header() mutates the header cache and must be
@@ -198,18 +199,21 @@ class SegmentSource {
 
   virtual const Bytes& header() = 0;
   /// Returns the payload for `id`; throws if the segment does not exist.
-  virtual Bytes read_segment(SegmentId id) = 0;
+  /// A batch of one through read_many, so every source keeps its fetch and
+  /// accounting logic in one place.
+  virtual Bytes read_segment(SegmentId id);
   /// Fetch many segments in one operation; payloads come back in request
-  /// order.  The base implementation loops read_segment(); sources with a
-  /// per-operation cost (files, remote stores) override it to batch — e.g.
-  /// FileSource sorts by file offset and coalesces near-adjacent ranges into
-  /// single reads.  Only the requested segments' payload bytes are charged to
-  /// stats().bytes_read, never coalescing gap bytes: the retrieved-data-
-  /// volume metric must not depend on the fetch strategy.
-  virtual std::vector<Bytes> read_many(std::span<const SegmentId> ids);
+  /// order.  IndexedSource sorts the batch by offset and coalesces
+  /// near-adjacent ranges into single reads.  Only the requested segments'
+  /// payload bytes are charged to stats().bytes_read, never coalescing gap
+  /// bytes — the retrieved-data-volume metric must not depend on the fetch
+  /// strategy — and a batch that throws charges nothing (all-or-nothing), so
+  /// a retried execute() cannot double-count.
+  virtual std::vector<Bytes> read_many(std::span<const SegmentId> ids) = 0;
   virtual bool has_segment(SegmentId id) const = 0;
   virtual std::size_t segment_size(SegmentId id) const = 0;
-  /// All segment ids present in the container, in table order.  Free to call:
+  /// All segment ids present in the container, in ascending table-key order
+  /// (not the order rows appear in the table).  Free to call:
   /// the index is part of the open cost, nothing extra is charged.
   virtual std::vector<SegmentId> segment_ids() const = 0;
   /// Archive format version parsed from the container.  For a v4 container
@@ -243,12 +247,6 @@ class SegmentSource {
   void charge_bytes(std::size_t n) {
     bytes_read_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Roll back `n` bytes charged by a batch that failed to deliver
-  /// (all-or-nothing accounting).  A subtraction, not a store: concurrent
-  /// fetches on a shared source must not have their charges clobbered.
-  void uncharge_bytes(std::size_t n) {
-    bytes_read_.fetch_sub(n, std::memory_order_relaxed);
-  }
   void count_read_call() { read_calls_.fetch_add(1, std::memory_order_relaxed); }
   void count_coalesced_range() {
     coalesced_ranges_.fetch_add(1, std::memory_order_relaxed);
@@ -260,12 +258,12 @@ class SegmentSource {
   std::atomic<std::size_t> coalesced_ranges_{0};
 };
 
-/// Adjacent-range coalescing threshold for batched file reads: two segments
-/// whose file ranges are within this many bytes of each other are served by
-/// one read (the gap is cheaper to read through than a second seek+read).
+/// Adjacent-range coalescing threshold for batched reads: two segments whose
+/// archive ranges are within this many bytes of each other are served by one
+/// read (the gap is cheaper to read through than a second seek+read).
 inline constexpr std::size_t kCoalesceGapBytes = 4096;
 
-/// Parses the serialized archive layout; shared by the concrete sources.
+/// Parses the serialized archive layout; IndexedSource holds one.
 struct ArchiveIndex {
   /// Base version (1–3): governs key packing and header format.
   std::uint32_t version = kArchiveV1;
@@ -294,10 +292,11 @@ struct ArchiveIndex {
 
   /// Verify `payload` against the checksum recorded for `entry`; throws
   /// IntegrityError{.layer = kStorage} on mismatch, no-op for pre-v4
-  /// containers.  Concrete sources call this on every physical read.
+  /// containers.  IndexedSource calls this on every physical read.
   void verify(const Entry& entry, std::span<const std::uint8_t> payload) const;
 
-  /// All segment ids in the index, decoded under the parsed version.
+  /// All segment ids in the index in ascending key order (`entries` is a
+  /// map), decoded under the parsed version.
   std::vector<SegmentId> ids() const {
     std::vector<SegmentId> out;
     out.reserve(entries.size());
@@ -307,75 +306,91 @@ struct ArchiveIndex {
     return out;
   }
 
-  static ArchiveIndex parse(std::span<const std::uint8_t> head_bytes,
+  /// Reads the archive bytes of [begin, end); throws if they are not all
+  /// there.  The view need only stay valid until the next call.
+  using RangeReader = std::function<std::span<const std::uint8_t>(
+      std::size_t begin, std::size_t end)>;
+
+  /// Parses an archive of `total_size` bytes, reading its index region
+  /// through `read`: a bounded read for the fixed words and header_len, one
+  /// for the segment count, then exactly the table rows.  The header itself
+  /// is skipped, and finding the table's end reads no payload byte.
+  static ArchiveIndex parse(std::size_t total_size, const RangeReader& read);
+  /// Parses from memory; `archive` must hold at least the index region.
+  static ArchiveIndex parse(std::span<const std::uint8_t> archive,
                             std::size_t total_size);
 };
 
-/// SegmentSource over a fully in-memory archive blob.  Only the bytes of the
-/// segments actually requested are charged to stats().bytes_read.
+/// The one SegmentSource over a serialized archive: a parsed ArchiveIndex
+/// over a byte store that is either an owned in-memory blob or one file
+/// descriptor read with pread.  Everything but "the bytes of [begin, end)"
+/// is shared by both stores: the index queries, the open-cost charge of
+/// header(), and read_many, which resolves the whole batch, visits it in
+/// offset order, serves each run of segments within kCoalesceGapBytes of one
+/// another with one read (one read_call + coalesced_range), verifies each
+/// slice and charges only payload bytes, all-or-nothing.  Construct it
+/// through MemorySource or FileSource.
 ///
-/// Thread contract: inherits SegmentSource's — read_segment/read_many touch
-/// only the immutable blob/index and the atomic counters, so concurrent
-/// fetches are safe; header() mutates the header cache and must be
-/// serialized (fetched once, at open).
-class MemorySource final : public SegmentSource {
- public:
-  explicit MemorySource(Bytes archive);
-
-  const Bytes& header() override;
-  Bytes read_segment(SegmentId id) override;
-  bool has_segment(SegmentId id) const override;
-  std::size_t segment_size(SegmentId id) const override;
-  std::vector<SegmentId> segment_ids() const override { return index_.ids(); }
-  std::uint32_t version() const override { return index_.version; }
-  std::optional<std::uint64_t> segment_checksum(SegmentId id) const override {
-    return index_.checksum_of(id.key(index_.version));
-  }
-  std::size_t total_size() const override { return blob_.size(); }
-
- private:
-  Bytes blob_;
-  ArchiveIndex index_;
-  Bytes header_cache_;
-  bool header_charged_ = false;
-};
-
-/// SegmentSource over a file on disk; performs real seek+read per segment.
-/// read_many() sorts the batch by file offset and coalesces ranges within
-/// kCoalesceGapBytes of each other into single bulk reads, slicing each
-/// payload out of the shared buffer — one open + one read per contiguous run
-/// instead of one per segment.
-///
-/// Thread contract: inherits SegmentSource's.  Every fetch opens its own
-/// file handle and touches only the immutable index plus the atomic
-/// counters, so read_segment/read_many may overlap from any number of
+/// Thread contract: inherits SegmentSource's.  A fetch touches only the
+/// immutable blob/index, operation-local buffers and the atomic counters,
+/// and pread carries its own offset (the shared fd has no file position to
+/// race on), so read_segment/read_many may overlap from any number of
 /// threads over one instance — the serve layer's PooledSource relies on this
-/// to dispatch merged batches from several workers at once.  header() still
+/// to dispatch merged batches from several workers at once.  header()
 /// mutates the header cache and must be serialized (fetched once, at open).
-class FileSource final : public SegmentSource {
+class IndexedSource : public SegmentSource {
  public:
-  explicit FileSource(std::string path);
+  ~IndexedSource() override;
+  IndexedSource(const IndexedSource&) = delete;
+  IndexedSource& operator=(const IndexedSource&) = delete;
 
   const Bytes& header() override;
-  Bytes read_segment(SegmentId id) override;
   std::vector<Bytes> read_many(std::span<const SegmentId> ids) override;
-  bool has_segment(SegmentId id) const override;
-  std::size_t segment_size(SegmentId id) const override;
+  bool has_segment(SegmentId id) const override {
+    return index_.entries.contains(id.key(index_.version));
+  }
+  std::size_t segment_size(SegmentId id) const override {
+    return entry(id).length;
+  }
   std::vector<SegmentId> segment_ids() const override { return index_.ids(); }
   std::uint32_t version() const override { return index_.version; }
   std::optional<std::uint64_t> segment_checksum(SegmentId id) const override {
     return index_.checksum_of(id.key(index_.version));
   }
-  std::size_t total_size() const override { return file_size_; }
+  std::size_t total_size() const override { return size_; }
+
+ protected:
+  /// Memory store: parses the index straight out of `blob`.
+  explicit IndexedSource(Bytes blob);
+  /// File store: opens `path` once and preads exactly the index region.
+  explicit IndexedSource(const std::string& path);
 
  private:
-  Bytes read_range(std::size_t offset, std::size_t length) const;
+  const ArchiveIndex::Entry& entry(SegmentId id) const;
+  /// The only store-dependent step: the archive bytes of [begin, end),
+  /// viewed in place in the blob or pread into `buf`.
+  std::span<const std::uint8_t> bytes(std::size_t begin, std::size_t end,
+                                      Bytes& buf) const;
 
-  std::string path_;
-  std::size_t file_size_ = 0;
+  Bytes blob_;
+  int fd_ = -1;  // >= 0 exactly for the file store
+  std::size_t size_ = 0;
   ArchiveIndex index_;
   Bytes header_cache_;
   bool header_loaded_ = false;
+};
+
+/// IndexedSource over a fully in-memory archive blob.
+class MemorySource final : public IndexedSource {
+ public:
+  explicit MemorySource(Bytes archive) : IndexedSource(std::move(archive)) {}
+};
+
+/// IndexedSource over a file on disk: one descriptor for the source's
+/// lifetime, every fetch a pread on it.
+class FileSource final : public IndexedSource {
+ public:
+  explicit FileSource(std::string path) : IndexedSource(path) {}
 };
 
 /// Write a serialized archive to disk.

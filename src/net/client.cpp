@@ -9,11 +9,6 @@ namespace ipcomp::net {
 
 // ---- StagedSource ---------------------------------------------------------
 
-Bytes StagedSource::read_segment(SegmentId id) {
-  std::vector<Bytes> one = read_many({&id, 1});
-  return std::move(one.front());
-}
-
 std::vector<Bytes> StagedSource::read_many(std::span<const SegmentId> ids) {
   std::vector<Bytes> out;
   out.reserve(ids.size());

@@ -54,7 +54,6 @@ class StagedSource final : public SegmentSource {
     }
     return header_;
   }
-  Bytes read_segment(SegmentId id) override;
   /// Serves previously staged payloads; throws std::runtime_error if the
   /// server did not deliver one of `ids` (protocol violation).
   std::vector<Bytes> read_many(std::span<const SegmentId> ids) override;

@@ -62,9 +62,8 @@ struct ServerConfig {
   std::uint64_t session_quota = 0;
   /// OPENs one connection may hold at once.
   std::size_t max_opens_per_connection = 8;
-  /// Shared-tier sizing.  The daemon maps archives by default (MmapSource
-  /// falls back to FileSource on empty/over-cap files).
-  ServeOptions serve = {.use_mmap = true};
+  /// Shared-tier sizing; exported files are served through FileSource.
+  ServeOptions serve;
 };
 
 class Server {

@@ -40,11 +40,6 @@ const Bytes& PooledSource::header() {
   return h;
 }
 
-Bytes PooledSource::read_segment(SegmentId id) {
-  std::vector<Bytes> one = read_many({&id, 1});
-  return std::move(one.front());
-}
-
 std::vector<Bytes> PooledSource::read_many(std::span<const SegmentId> ids) {
   if (ids.empty()) return {};
   Batch batch;
@@ -80,7 +75,7 @@ void PooledSource::worker_loop() {
     }
     // Merge every batch queued at this instant into one physical dispatch,
     // deduplicating overlapping demand: two sessions asking for the same
-    // segment at the same moment share ONE fetch.  FileSource::read_many
+    // segment at the same moment share ONE fetch.  IndexedSource::read_many
     // then sorts the unique list by offset and coalesces near-adjacent
     // ranges, so demand from different sessions that lands in the same file
     // neighborhood is served by shared bulk reads.

@@ -41,7 +41,6 @@ class PooledSource final : public SegmentSource {
   PooledSource& operator=(const PooledSource&) = delete;
 
   const Bytes& header() override IPCOMP_EXCLUDES(mu_);
-  Bytes read_segment(SegmentId id) override IPCOMP_EXCLUDES(mu_);
   std::vector<Bytes> read_many(std::span<const SegmentId> ids) override
       IPCOMP_EXCLUDES(mu_);
   bool has_segment(SegmentId id) const override { return base_.has_segment(id); }

@@ -199,11 +199,6 @@ const Bytes& FaultySource::header() {
   return h;
 }
 
-Bytes FaultySource::read_segment(SegmentId id) {
-  std::vector<Bytes> one = read_many({&id, 1});
-  return std::move(one.front());
-}
-
 std::vector<Bytes> FaultySource::read_many(std::span<const SegmentId> ids) {
   {
     LockGuard lock(plan_->mu_);

@@ -183,7 +183,6 @@ class FaultySource final : public SegmentSource {
       : base_(std::move(base)), plan_(std::move(plan)) {}
 
   const Bytes& header() override;
-  Bytes read_segment(SegmentId id) override;
   std::vector<Bytes> read_many(std::span<const SegmentId> ids) override;
   bool has_segment(SegmentId id) const override {
     return base_->has_segment(id);
@@ -202,8 +201,7 @@ class FaultySource final : public SegmentSource {
 
  private:
   /// Fold what the base just charged into this source's own counters, so
-  /// stats() reads the same through the decorator (cf. MmapSource's
-  /// fallback mirroring).
+  /// stats() reads the same through the decorator.
   void mirror(const SourceStats& before);
 
   std::unique_ptr<SegmentSource> base_;

@@ -222,6 +222,36 @@ TEST(Archive, FileSourceMatchesMemorySource) {
   std::remove(path.c_str());
 }
 
+// The file store reads exactly the index region, however large: a segment
+// table over 4 MiB (300k checksummed rows of 17 bytes each) opens and
+// indexes exactly like the memory store.
+TEST(Archive, FileSourceOpensIndexLargerThanFourMiB) {
+  constexpr std::uint32_t kSegments = 300000;
+  Bytes blob;
+  {
+    ArchiveBuilder b;
+    b.set_integrity(true);
+    b.set_header(make_payload(64, 0x5A));
+    for (std::uint32_t i = 0; i < kSegments; ++i) {
+      b.add_segment({1, 0, i}, Bytes(1, static_cast<std::uint8_t>(i * 7)));
+    }
+    blob = b.finish();
+  }
+  ASSERT_GT(blob.size() - kSegments, std::size_t{4} << 20);
+  const std::string path = ::testing::TempDir() + "/ipcomp_big_index.bin";
+  write_file(path, blob);
+
+  FileSource fsrc(path);
+  MemorySource msrc(std::move(blob));
+  const std::vector<SegmentId> ids = msrc.segment_ids();
+  ASSERT_EQ(ids.size(), kSegments);
+  EXPECT_EQ(fsrc.segment_ids(), ids);
+  EXPECT_EQ(fsrc.header(), msrc.header());
+  EXPECT_EQ(fsrc.read_many(ids), msrc.read_many(ids));
+  EXPECT_EQ(fsrc.stats().bytes_read, msrc.stats().bytes_read);
+  std::remove(path.c_str());
+}
+
 TEST(Archive, FileRoundTripHelpers) {
   std::string path = ::testing::TempDir() + "/ipcomp_file_test.bin";
   Bytes data = {9, 8, 7, 6};

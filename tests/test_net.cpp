@@ -1,6 +1,7 @@
-// Network serving tier: MmapSource/FileSource parity, loopback client/server
+// Network serving tier: memory/file store parity (including concurrent
+// batches over one shared file descriptor), loopback client/server
 // integration — remote reconstruction byte-identical to a local reader over
-// the same request sequence on both storage backends, refinement wire bytes
+// the same request sequence on memory and file exports, refinement wire bytes
 // equal to the plan's predicted bytes_new, mixed region/eb/bytes traffic,
 // quota rejection over the wire, typed error mapping, the deterministic
 // fault-injection suite (torn I/O, EINTR storms, bit-flipped frames,
@@ -18,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "io/mmap_source.hpp"
 #include "ipcomp.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -48,22 +48,21 @@ std::string write_temp_archive(const Bytes& archive, const std::string& name) {
   return path;
 }
 
-// ---- MmapSource -----------------------------------------------------------
+// ---- IndexedSource: memory store vs file store ---------------------------
 
-TEST(MmapSource, PayloadsAndStatsMatchFileSource) {
+TEST(IndexedSource, MemoryAndFileStoresAgree) {
   auto field = smooth_field(Dims{24, 20, 16}, 71, 0.05);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_parity.ipc");
+  const Bytes archive = make_archive(field, 1e-6, 8);
+  const std::string path = write_temp_archive(archive, "ipc_store_parity.ipc");
 
   FileSource fs(path);
-  MmapSource ms(path);
-  ASSERT_TRUE(ms.mapped());
+  MemorySource ms{Bytes(archive)};
 
   EXPECT_EQ(ms.header(), fs.header());
   EXPECT_EQ(ms.version(), fs.version());
   EXPECT_EQ(ms.total_size(), fs.total_size());
   EXPECT_EQ(ms.segment_ids(), fs.segment_ids());
-  // Open cost parity: header + table charged identically.
+  // Open cost parity: the fixed words and header charged identically.
   EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
   EXPECT_EQ(ms.stats().read_calls, fs.stats().read_calls);
 
@@ -71,94 +70,132 @@ TEST(MmapSource, PayloadsAndStatsMatchFileSource) {
   ASSERT_FALSE(ids.empty());
   for (const SegmentId& id : ids) {
     EXPECT_EQ(ms.segment_size(id), fs.segment_size(id));
+    EXPECT_EQ(ms.segment_checksum(id), fs.segment_checksum(id));
   }
   EXPECT_EQ(ms.read_many(ids), fs.read_many(ids));
-  // Full accounting parity: payload bytes, dispatches, coalesced ranges.
+  // Full accounting parity: payload bytes, read calls, coalesced ranges.
   EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
   EXPECT_EQ(ms.stats().read_calls, fs.stats().read_calls);
   EXPECT_EQ(ms.stats().coalesced_ranges, fs.stats().coalesced_ranges);
 
-  // Missing segments are rejected all-or-nothing without charging.
+  // A batch with a missing id fails all-or-nothing on both stores: it
+  // throws before any read, and nothing is charged.
   SegmentId bogus;
   bogus.kind = 0xAB;
-  const std::size_t before = ms.stats().bytes_read;
-  EXPECT_THROW(ms.read_segment(bogus), std::runtime_error);
-  EXPECT_EQ(ms.stats().bytes_read, before);
+  const std::vector<SegmentId> poisoned = {ids.front(), bogus, ids.back()};
+  for (SegmentSource* src : {static_cast<SegmentSource*>(&ms),
+                             static_cast<SegmentSource*>(&fs)}) {
+    const SourceStats before = src->stats();
+    EXPECT_THROW(src->read_many(poisoned), std::runtime_error);
+    EXPECT_THROW(src->read_segment(bogus), std::runtime_error);
+    EXPECT_EQ(src->stats().bytes_read, before.bytes_read);
+    EXPECT_EQ(src->stats().read_calls, before.read_calls);
+  }
 }
 
-TEST(MmapSource, RandomSubsetPropertyAgainstFileSource) {
+/// Random subset of `ids` in random order (read_many must preserve request
+/// order).
+std::vector<SegmentId> random_subset(const std::vector<SegmentId>& ids,
+                                     Rng& rng) {
+  std::vector<SegmentId> subset;
+  for (const SegmentId& id : ids) {
+    if (rng.uniform() < 0.4) subset.push_back(id);
+  }
+  for (std::size_t i = subset.size(); i > 1; --i) {
+    std::swap(subset[i - 1], subset[rng.uniform_u64(i)]);
+  }
+  return subset;
+}
+
+TEST(IndexedSource, RandomSubsetPropertyAcrossStores) {
   auto field = smooth_field(Dims{20, 18, 14}, 72, 0.07);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_prop.ipc");
+  const Bytes archive = make_archive(field, 1e-6, 8);
+  const std::string path = write_temp_archive(archive, "ipc_store_prop.ipc");
 
   FileSource fs(path);
-  MmapSource ms(path);
-  ASSERT_TRUE(ms.mapped());
+  MemorySource ms{Bytes(archive)};
   const std::vector<SegmentId> ids = fs.segment_ids();
   ASSERT_GT(ids.size(), 4u);
 
   Rng rng(72);
   for (int trial = 0; trial < 24; ++trial) {
-    // Random subset in random order (read_many must preserve request order).
-    std::vector<SegmentId> subset;
-    for (const SegmentId& id : ids) {
-      if (rng.uniform() < 0.4) subset.push_back(id);
-    }
-    for (std::size_t i = subset.size(); i > 1; --i) {
-      std::swap(subset[i - 1], subset[rng.uniform_u64(i)]);
-    }
+    const std::vector<SegmentId> subset = random_subset(ids, rng);
     if (subset.empty()) continue;
     EXPECT_EQ(ms.read_many(subset), fs.read_many(subset)) << "trial " << trial;
     EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
+    EXPECT_EQ(ms.stats().read_calls, fs.stats().read_calls);
   }
 }
 
-TEST(MmapSource, OverCapFileFallsBackToFileSource) {
-  auto field = smooth_field(Dims{16, 12, 8}, 73, 0.05);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_cap.ipc");
+// The serve tier's pool workers share one FileSource, hence one descriptor:
+// the random-subset batches from 4 threads at once must each come back
+// byte-identical to the memory store, and the shared counters must add up
+// (the tsan preset runs this as the shared-fd race canary).
+TEST(IndexedSource, SharedFileSourceServesConcurrentBatches) {
+  auto field = smooth_field(Dims{20, 18, 14}, 76, 0.07);
+  const Bytes archive = make_archive(field, 1e-6, 8);
+  const std::string path = write_temp_archive(archive, "ipc_store_fd.ipc");
 
   FileSource fs(path);
-  MmapSource ms(path, /*map_cap_bytes=*/16);  // archive is far larger
-  EXPECT_FALSE(ms.mapped());
-  EXPECT_EQ(ms.header(), fs.header());
   const std::vector<SegmentId> ids = fs.segment_ids();
-  EXPECT_EQ(ms.read_many(ids), fs.read_many(ids));
-  EXPECT_EQ(ms.stats().bytes_read, fs.stats().bytes_read);
+  ASSERT_GT(ids.size(), 4u);
+
+  constexpr int kThreads = 4;
+  std::vector<std::size_t> delivered(kThreads, 0);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<std::uint64_t>(100 + t));
+      MemorySource expect{Bytes(archive)};
+      for (int trial = 0; trial < 24; ++trial) {
+        const std::vector<SegmentId> subset = random_subset(ids, rng);
+        const std::vector<Bytes> got = fs.read_many(subset);
+        if (got != expect.read_many(subset)) ++mismatches[t];
+        for (const Bytes& b : got) delivered[t] += b.size();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::size_t total = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    total += delivered[t];
+  }
+  EXPECT_EQ(fs.stats().bytes_read, total);
 }
 
-TEST(MmapSource, EmptyAndTruncatedFilesRejectLikeFileSource) {
-  const std::string empty = ::testing::TempDir() + "/ipc_mmap_empty.ipc";
+TEST(IndexedSource, EmptyAndTruncatedFilesRejected) {
+  const std::string empty = ::testing::TempDir() + "/ipc_store_empty.ipc";
   write_file(empty, Bytes{});
   EXPECT_THROW(FileSource{empty}, std::exception);
-  EXPECT_THROW(MmapSource{empty}, std::exception);  // empty -> fallback path
+  EXPECT_THROW(MemorySource{Bytes{}}, std::exception);
 
   auto field = smooth_field(Dims{12, 10, 8}, 74, 0.05);
   Bytes archive = make_archive(field, 1e-5, 4);
   Bytes truncated(archive.begin(),
                   archive.begin() + static_cast<std::ptrdiff_t>(archive.size() / 3));
-  const std::string path = write_temp_archive(truncated, "ipc_mmap_trunc.ipc");
+  const std::string path = write_temp_archive(truncated, "ipc_store_trunc.ipc");
   EXPECT_THROW(FileSource{path}, std::exception);
-  EXPECT_THROW(MmapSource{path}, std::exception);
+  EXPECT_THROW(MemorySource{Bytes(truncated)}, std::exception);
 }
 
-TEST(MmapSource, ReaderOverMmapMatchesFileReader) {
-  auto field = smooth_field(Dims{24, 20, 16}, 75, 0.05);
-  const std::string path =
-      write_temp_archive(make_archive(field, 1e-6, 8), "ipc_mmap_reader.ipc");
+// The file store keeps one descriptor open; an archive truncated under it
+// fails the next read with an error (never a SIGBUS, as a mapping would)
+// and the failed batch charges nothing.
+TEST(IndexedSource, FileTruncatedWhileOpenFailsTheRead) {
+  auto field = smooth_field(Dims{12, 10, 8}, 77, 0.05);
+  const Bytes archive = make_archive(field, 1e-6, 4);
+  const std::string path = write_temp_archive(archive, "ipc_store_shrink.ipc");
 
   FileSource fs(path);
-  MmapSource ms(path);
-  ProgressiveReader<double> a(fs), b(ms);
-  for (const Request& req :
-       {Request::error_bound(1e-2), Request::bytes(3000), Request::full()}) {
-    RetrievalPlan pa = a.plan(req), pb = b.plan(req);
-    EXPECT_EQ(pa.segments, pb.segments);
-    EXPECT_EQ(pa.bytes_new, pb.bytes_new);
-    RetrievalStats sa = a.execute(pa), sb = b.execute(pb);
-    EXPECT_EQ(sa.bytes_total, sb.bytes_total);
-    EXPECT_EQ(a.data(), b.data());
-  }
+  fs.header();
+  const std::vector<SegmentId> ids = fs.segment_ids();
+  write_file(path, Bytes(archive.begin(), archive.begin() + 64));
+  const std::size_t before = fs.stats().bytes_read;
+  EXPECT_THROW(fs.read_many(ids), std::runtime_error);
+  EXPECT_EQ(fs.stats().bytes_read, before);
 }
 
 // ---- loopback client/server -----------------------------------------------
@@ -225,14 +262,12 @@ TEST(Net, RemoteMatchesLocalReaderMemoryBacked) {
   server.stop();
 }
 
-TEST(Net, RemoteMatchesLocalReaderFileMmapBacked) {
+TEST(Net, RemoteMatchesLocalReaderFileBacked) {
   auto field = smooth_field(Dims{24, 20, 16}, 82, 0.06);
   Bytes archive = make_archive(field, 1e-6, 8);
-  const std::string path = write_temp_archive(archive, "ipc_net_mmap.ipc");
+  const std::string path = write_temp_archive(archive, "ipc_net_file.ipc");
 
-  net::ServerConfig cfg;
-  cfg.serve.use_mmap = true;
-  net::Server server(cfg);
+  net::Server server;
   server.export_file("density", path);
   server.start();
 
@@ -245,24 +280,6 @@ TEST(Net, RemoteMatchesLocalReaderFileMmapBacked) {
   EXPECT_GT(st.payload_bytes_sent, 0u);
   EXPECT_GT(st.physical_bytes_read, 0u);
   EXPECT_GT(st.frames_in, 0u);
-  server.stop();
-}
-
-TEST(Net, RemoteMatchesLocalReaderFileFreadBacked) {
-  auto field = smooth_field(Dims{20, 16, 12}, 83, 0.05);
-  Bytes archive = make_archive(field, 1e-6, 8);
-  const std::string path = write_temp_archive(archive, "ipc_net_fread.ipc");
-
-  net::ServerConfig cfg;
-  cfg.serve.use_mmap = false;
-  net::Server server(cfg);
-  server.export_file("density", path);
-  server.start();
-
-  MemorySource src{Bytes(archive)};
-  ProgressiveReader<double> local(src);
-  net::RemoteReader<double> remote(server.address(), "density");
-  assert_remote_matches_local(remote, local, mixed_traffic());
   server.stop();
 }
 

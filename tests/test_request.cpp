@@ -338,9 +338,10 @@ TEST_P(RequestApi, FileSourceSweepCoalescesReads) {
     EXPECT_EQ(freader.data(), mreader.data()) << "target " << target;
     EXPECT_EQ(fsrc.stats().bytes_read, msrc.stats().bytes_read) << "target " << target;
   }
-  // MemorySource pays one "call" per segment; the file source coalesces.
+  // Both stores coalesce the same runs, so they count the same read calls.
   ASSERT_GT(segments_fetched, 8u);
-  EXPECT_EQ(msrc.stats().read_calls, segments_fetched + 1);  // +1 header
+  EXPECT_EQ(msrc.stats().read_calls, fsrc.stats().read_calls);
+  EXPECT_EQ(msrc.stats().coalesced_ranges, fsrc.stats().coalesced_ranges);
   EXPECT_LT(fsrc.stats().read_calls, segments_fetched);
   EXPECT_EQ(fsrc.stats().coalesced_ranges, fsrc.stats().read_calls - 1);
   std::remove(path.c_str());
