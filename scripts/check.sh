@@ -88,17 +88,20 @@ for f in "${src_files[@]}"; do
            | cut -d: -f1 | sed 's/$/:/')
 done
 
-# Raw I/O syscalls (::read/::write/::send/::recv) stay behind the two seams
-# that verify and fault-inject them: net/wire.cpp (FrameChannel, the only
-# wire path) and the src/io/ storage sources.  Anywhere else they would
-# bypass the integrity checks and the FaultInjector hooks that make failure
-# handling testable.
+# Raw I/O syscalls stay behind the two seams that verify and fault-inject
+# them: net/wire.cpp (FrameChannel, the only wire path) and the src/io/
+# storage sources.  Anywhere else they would bypass the integrity checks and
+# the FaultInjector hooks that make failure handling testable.  The rule
+# covers every variant of the family: ::read/::write/::send/::recv, their
+# positioned forms (::pread/::pwrite) and their vector, message and address
+# forms (::readv/::writev, ::sendmsg/::recvmsg, ::sendmmsg/::recvmmsg,
+# ::sendto/::recvfrom, ::preadv/::pwritev).
 for f in "${src_files[@]}"; do
   case "$f" in src/net/wire.cpp | src/io/*) continue ;; esac
   while IFS=: read -r line _; do
-    fail "$f:$line: direct ::read/::write/::send/::recv (route raw I/O through net/wire.cpp or src/io/ sources)"
+    fail "$f:$line: direct raw I/O syscall (::read/::write/::send/::recv family; route raw I/O through net/wire.cpp or src/io/ sources)"
   done < <(strip_comments "$f" \
-           | grep -nE '(^|[^:[:alnum:]_])::(read|write|send|recv)[[:space:]]*\(' \
+           | grep -nE '(^|[^:[:alnum:]_])::(p?read|p?write|send|recv)(v|msg|mmsg|to|from)?[[:space:]]*\(' \
            | cut -d: -f1 | sed 's/$/:/')
 done
 

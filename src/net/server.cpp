@@ -318,9 +318,16 @@ void Server::serve_connection(Socket sock) {
   }
 }
 
-void Server::send_frame(FrameChannel& ch, Op op, const ByteWriter& w) {
-  ch.send(op, w);
+void Server::send_frame(FrameChannel& ch, Op op,
+                        std::span<const std::span<const std::uint8_t>> body) {
+  ch.send(op, body);
   counters_->frames_out.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Server::send_frame(FrameChannel& ch, Op op, const ByteWriter& w) {
+  const std::span<const std::uint8_t> body(w.buffer().data(),
+                                           w.buffer().size());
+  send_frame(ch, op, std::span<const std::span<const std::uint8_t>>(&body, 1));
 }
 
 void Server::send_error(FrameChannel& ch, ErrCode code,
@@ -495,10 +502,13 @@ bool Server::handle_frame(FrameChannel& ch, ConnState& st, const Frame& f) {
       }
       const std::uint32_t ver = os.handle->version();
       for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-        ByteWriter w;
-        w.u64(plan.segments[i].key(ver));
-        w.bytes({payloads[i].data(), payloads[i].size()});
-        send_frame(ch, Op::kSegment, w);
+        // The payload rides as its own iovec behind the key: no copy.
+        ByteWriter key;
+        key.u64(plan.segments[i].key(ver));
+        const std::span<const std::uint8_t> body[] = {
+            {key.buffer().data(), key.buffer().size()},
+            {payloads[i].data(), payloads[i].size()}};
+        send_frame(ch, Op::kSegment, body);
         counters_->payload_bytes_sent.fetch_add(payloads[i].size(),
                                                 std::memory_order_relaxed);
       }

@@ -116,6 +116,9 @@ class Server {
   std::shared_ptr<ArchiveHandle> open_export(const std::string& name)
       IPCOMP_EXCLUDES(mu_);
 
+  /// Send one frame (FrameChannel::send) and count it in frames_out.
+  void send_frame(FrameChannel& ch, Op op,
+                  std::span<const std::span<const std::uint8_t>> body);
   void send_frame(FrameChannel& ch, Op op, const ByteWriter& w);
   void send_error(FrameChannel& ch, ErrCode code, const std::string& message,
                   std::uint64_t a = 0, std::uint64_t b = 0);

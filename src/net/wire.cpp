@@ -6,12 +6,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
 namespace ipcomp::net {
 
@@ -19,6 +21,16 @@ namespace {
 
 [[noreturn]] void throw_errno(WireError::Kind kind, const std::string& what) {
   throw WireError(kind, what, errno, "");
+}
+
+/// Turn off Nagle's algorithm.  Every request and reply is one complete
+/// frame written at once, so coalescing only holds a frame back until the
+/// peer's delayed ACK — tens of milliseconds per round trip.
+void set_nodelay(const Socket& s, const std::string& what) {
+  const int one = 1;
+  if (::setsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) != 0) {
+    throw_errno(WireError::Kind::kIo, "setsockopt TCP_NODELAY " + what);
+  }
 }
 
 /// Peer address of a connected socket for error context: "ip:port" for
@@ -162,6 +174,7 @@ Socket dial(const std::string& spec) {
     rc = ::connect(s.fd(), reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
   }
   if (rc != 0) throw_errno(WireError::Kind::kIo, "connect to " + spec);
+  if (!addr.unix_domain) set_nodelay(s, spec);
   return s;
 }
 
@@ -236,6 +249,7 @@ std::optional<Socket> Listener::accept(int timeout_ms) {
     }
     throw_errno(WireError::Kind::kIo, "accept");
   }
+  if (!addr_.unix_domain) set_nodelay(s, "accepted on " + address());
   return s;
 }
 
@@ -248,41 +262,74 @@ std::string Listener::address() const {
 FrameChannel::FrameChannel(Socket sock, std::size_t max_frame)
     : sock_(std::move(sock)), max_frame_(max_frame), peer_(peer_name(sock_)) {}
 
-void FrameChannel::send(Op op, std::span<const std::uint8_t> body) {
-  if (body.size() + 1 > kMaxFrameBytes) {
+void FrameChannel::send(Op op,
+                        std::span<const std::span<const std::uint8_t>> body) {
+  std::size_t body_len = 0;
+  for (const auto& part : body) body_len += part.size();
+  if (body_len + 1 > kMaxFrameBytes) {
     throw WireError(WireError::Kind::kProtocol, "frame too large to send");
   }
   ByteWriter head;
-  head.u32(static_cast<std::uint32_t>(body.size() + 1));
+  head.u32(static_cast<std::uint32_t>(body_len + 1));
   head.u8(static_cast<std::uint8_t>(op));
-  auto send_all = [&](const std::uint8_t* data, std::size_t len) {
-    while (len > 0) {
-      std::size_t want = len;
-      if (faults_) {
-        if (faults_->drop(FaultOp::kWrite)) {
-          sock_.shutdown_both();
-          throw WireError(WireError::Kind::kIo, "send (injected reset)",
-                          ECONNRESET, peer_);
-        }
-        want = faults_->clamp(FaultOp::kWrite, len);
-        if (want == 0) continue;  // injected EINTR: retry like the real one
-      }
-      const ssize_t n = ::send(sock_.fd(), data, want, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          throw WireError(WireError::Kind::kTimeout, "send timed out", errno,
-                          peer_);
-        }
-        throw WireError(WireError::Kind::kIo, "send", errno, peer_);
-      }
-      data += n;
-      len -= static_cast<std::size_t>(n);
-      bytes_out_ += static_cast<std::uint64_t>(n);
-    }
+  // Empty parts are left out, so every iovec from `first` on holds bytes.
+  std::vector<iovec> iov;
+  iov.reserve(body.size() + 1);
+  auto add = [&iov](std::span<const std::uint8_t> part) {
+    if (part.empty()) return;
+    iov.push_back({const_cast<std::uint8_t*>(part.data()), part.size()});
   };
-  send_all(head.buffer().data(), head.buffer().size());
-  send_all(body.data(), body.size());
+  add({head.buffer().data(), head.buffer().size()});
+  for (const auto& part : body) add(part);
+
+  std::size_t first = 0;
+  std::size_t left = head.buffer().size() + body_len;
+  while (left > 0) {
+    std::size_t want = left;
+    if (faults_) {
+      if (faults_->drop(FaultOp::kWrite)) {
+        sock_.shutdown_both();
+        throw WireError(WireError::Kind::kIo, "send (injected reset)",
+                        ECONNRESET, peer_);
+      }
+      want = faults_->clamp(FaultOp::kWrite, left);
+      if (want == 0) continue;  // injected EINTR: retry like the real one
+    }
+    // Offer exactly `want` bytes: cover them with the fewest iovecs and trim
+    // the last one for the duration of the call.
+    std::size_t count = 0;
+    std::size_t covered = 0;
+    while (covered < want) covered += iov[first + count++].iov_len;
+    iovec& last = iov[first + count - 1];
+    const std::size_t excess = covered - want;
+    last.iov_len -= excess;
+    msghdr msg{};
+    msg.msg_iov = &iov[first];
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(sock_.fd(), &msg, MSG_NOSIGNAL);
+    last.iov_len += excess;
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        throw WireError(WireError::Kind::kTimeout, "send timed out", errno,
+                        peer_);
+      }
+      throw WireError(WireError::Kind::kIo, "send", errno, peer_);
+    }
+    // Resume after a partial write: drop the iovecs it completed and
+    // advance into the one it stopped inside.
+    std::size_t sent = static_cast<std::size_t>(n);
+    left -= sent;
+    bytes_out_ += static_cast<std::uint64_t>(n);
+    while (sent > 0 && sent >= iov[first].iov_len) {
+      sent -= iov[first++].iov_len;
+    }
+    if (sent > 0) {
+      iovec& cur = iov[first];
+      cur.iov_base = static_cast<std::uint8_t*>(cur.iov_base) + sent;
+      cur.iov_len -= sent;
+    }
+  }
 }
 
 std::optional<Frame> FrameChannel::recv() {

@@ -218,7 +218,8 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Connect to `spec` ("host:port" or "unix:/path").  Throws on failure.
+/// Connect to `spec` ("host:port" or "unix:/path").  TCP sockets come back
+/// with TCP_NODELAY set.  Throws on failure.
 Socket dial(const std::string& spec);
 
 /// Bound + listening server socket.
@@ -230,7 +231,8 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Accept one connection, waiting at most `timeout_ms`; std::nullopt on
-  /// timeout (acceptor loops poll their stop flag between waits).
+  /// timeout (acceptor loops poll their stop flag between waits).  Accepted
+  /// TCP sockets have TCP_NODELAY set; WireError if that fails.
   std::optional<Socket> accept(int timeout_ms);
 
   /// The dialable address — for TCP with port 0 this reports the port the
@@ -253,9 +255,25 @@ class FrameChannel {
  public:
   FrameChannel(Socket sock, std::size_t max_frame);
 
-  /// Send one frame (blocking, complete).  Throws WireError on failure.
-  void send(Op op, std::span<const std::uint8_t> body);
-  void send(Op op, const ByteWriter& w) { send(op, {w.buffer().data(), w.buffer().size()}); }
+  /// Send one frame (blocking, complete) whose body is the concatenation of
+  /// `body`'s parts, without copying them: the 5-byte head and every part go
+  /// out as one iovec list through one raw `sendmsg`.  A partial write
+  /// resumes where it stopped, across part boundaries.  Throws WireError on
+  /// failure.
+  ///
+  /// Fault-injection contract (tests pin ordinals to it): each raw write
+  /// attempt — the first one of the frame, every resumption after a short
+  /// write, and every retry after EINTR — consults the injector exactly once
+  /// (one I/O ordinal), and clamp() limits the whole gathered length.  A
+  /// frame nothing interrupts is one ordinal.
+  void send(Op op, std::span<const std::span<const std::uint8_t>> body);
+  void send(Op op, std::span<const std::uint8_t> body) {
+    send(op, std::span<const std::span<const std::uint8_t>>(&body, 1));
+  }
+  void send(Op op, const ByteWriter& w) {
+    send(op, std::span<const std::uint8_t>(w.buffer().data(),
+                                           w.buffer().size()));
+  }
 
   /// Receive one frame.  std::nullopt on clean EOF at a frame boundary;
   /// WireError(kTimeout) when the socket's receive timeout expires,

@@ -10,9 +10,17 @@
 // from a prayer into a regression test (tests/test_net.cpp) and powers
 // `ipc serve --fault-seed`.
 //
+// The ordinal contract tests pin schedules to: FrameChannel::send makes ONE
+// raw write per frame — a gathered sendmsg of the 5-byte head and every body
+// part — and FrameChannel::recv makes one raw read for the 4-byte length and
+// one for the rest of the frame.  Each short transfer's resumption and each
+// EINTR retry is one more ordinal, so a round trip whose transfers are not
+// cut short is three ordinals on each side (one write, two reads).
+//
 // Injected failure modes:
-//   * torn reads/writes  — one raw I/O clamped to a single byte, exercising
-//     the resume loops around ::send/::recv;
+//   * torn reads/writes  — one raw I/O clamped to a single byte (a write's
+//     clamp limits the whole gathered length), exercising the resume loops
+//     around ::sendmsg/::recv;
 //   * EINTR storms       — I/Os clamped to zero bytes, the signal-interrupt
 //     shape without needing real signals;
 //   * bit flips          — one bit of a received chunk inverted, exercising

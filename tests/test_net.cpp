@@ -6,15 +6,21 @@
 // quota rejection over the wire, typed error mapping, the deterministic
 // fault-injection suite (torn I/O, EINTR storms, bit-flipped frames,
 // connection resets — and the self-healing reconnect+RESUME path they
-// exercise) — and the multi-client stress the tsan preset runs against one
+// exercise), gathered multi-span frame writes, TCP_NODELAY and round-trip
+// latency — and the multi-client stress the tsan preset runs against one
 // live daemon.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -409,12 +415,61 @@ TEST(Net, StopReturnsPromptlyAfterAcceptWakeStorms) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
 }
 
+int tcp_nodelay(const net::Socket& s) {
+  int on = 0;
+  socklen_t len = sizeof on;
+  EXPECT_EQ(::getsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+  return on;
+}
+
+// Nagle's algorithm is off on both ends of a TCP connection; AF_UNIX sockets
+// have none to turn off and still connect and carry frames.
+TEST(Net, TcpSocketsDisableNagleAndUnixSocketsStillConnect) {
+  net::Listener listener("127.0.0.1:0");
+  const net::Socket dialed = net::dial(listener.address());
+  const std::optional<net::Socket> accepted = listener.accept(2000);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_EQ(tcp_nodelay(dialed), 1);
+  EXPECT_EQ(tcp_nodelay(*accepted), 1);
+
+  const std::string spec =
+      "unix:" + ::testing::TempDir() + "/ipc_net_nodelay.sock";
+  net::Listener unix_listener(spec);
+  net::FrameChannel tx(net::dial(spec), net::kMaxFrameBytes);
+  std::optional<net::Socket> unix_accepted = unix_listener.accept(2000);
+  ASSERT_TRUE(unix_accepted.has_value());
+  net::FrameChannel rx(std::move(*unix_accepted), net::kMaxFrameBytes);
+  const Bytes body{7, 8, 9};
+  tx.send(net::Op::kStat, {body.data(), body.size()});
+  const std::optional<net::Frame> f = rx.recv();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_TRUE(f->is(net::Op::kStat));
+  EXPECT_EQ(f->body, body);
+}
+
+// Latency regression: a PLAN is one small request frame and one small reply.
+// If Nagle holds back part of a frame until the peer's delayed ACK, every
+// round trip stalls (~85 ms on loopback, ~17 s for this loop); without the
+// stall one takes well under a millisecond.
+TEST(Net, SequentialPlanRoundTripsDoNotStall) {
+  auto field = smooth_field(Dims{16, 12, 8}, 94, 0.05);
+  net::Server server;
+  server.export_memory("a", make_archive(field, 1e-6, 8));
+  server.start();
+
+  net::RemoteReader<double> remote(server.address(), "a");
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) remote.plan(Request::error_bound(1e-2));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+  server.stop();
+}
+
 // ---- deterministic fault injection & self-healing -------------------------
 
-// Satellite coverage for the send() resume loops: torn (1-byte) writes and
+// Satellite coverage for the send() resume loop: torn (1-byte) writes and
 // EINTR storms on the sender must never desynchronize the framing.  The
-// schedule pins ordinals directly: send() issues two raw writes per frame
-// (5-byte head, then body), and every clamped attempt retries as the next
+// schedule pins ordinals directly: send() issues one gathered raw write per
+// frame (5-byte head + body), and every clamped attempt retries as the next
 // ordinal.
 TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   net::Listener listener("127.0.0.1:0");
@@ -425,10 +480,11 @@ TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   net::FrameChannel rx(std::move(*accepted), net::kMaxFrameBytes);
 
   auto plan = std::make_shared<FaultPlan>(0);
-  // Ordinal 0: head write torn to 1 byte; 1: the 4-byte remainder torn
-  // again; 2: the last 3 head bytes; 3–5: an EINTR storm at the body write;
-  // 6: the body, torn once more; 7: the 31999-byte remainder.
-  plan->torn_at(0).torn_at(1).eintr_at(3, 3).torn_at(6).delay_at(7, 1);
+  // Ordinal 0: the frame's write torn to 1 head byte; 1–3: an EINTR storm
+  // mid-head; 4: torn again (head byte 1); 5: torn once more (head byte 2);
+  // 6: one resumed write of the last 2 head bytes and the 32000-byte body,
+  // crossing the head/body iovec boundary, after a delay spike.
+  plan->torn_at(0).eintr_at(1, 3).torn_at(4).torn_at(5).delay_at(6, 1);
   tx.set_fault_injector(plan);
 
   Rng rng(4242);
@@ -452,6 +508,66 @@ TEST(Fault, FrameChannelFramingSurvivesShortWritesAndEintrStorms) {
   EXPECT_EQ(f->body, small);
 }
 
+/// Caps every raw write at `limit` bytes and counts the write attempts.
+class ClampEveryWrite final : public FaultInjector {
+ public:
+  explicit ClampEveryWrite(std::size_t limit) : limit_(limit) {}
+  std::size_t clamp(FaultOp op, std::size_t want) override {
+    if (op != FaultOp::kWrite) return want;
+    ++writes_;
+    return std::min(want, limit_);
+  }
+  std::size_t writes() const { return writes_; }
+
+ private:
+  std::size_t limit_;
+  std::size_t writes_ = 0;
+};
+
+// A multi-span frame (head + key + payload, the SEGMENT shape) sent with
+// every raw write clamped: each resumption continues inside or across the
+// iovecs exactly where the last one stopped, one injector ordinal per raw
+// write, and the framing stays aligned for the next frame.
+TEST(Fault, GatheredFrameSurvivesEveryWriteClamped) {
+  net::Listener listener("127.0.0.1:0");
+  net::Socket peer = net::dial(listener.address());
+  std::optional<net::Socket> accepted = listener.accept(2000);
+  ASSERT_TRUE(accepted.has_value());
+  net::FrameChannel tx(std::move(peer), net::kMaxFrameBytes);
+  net::FrameChannel rx(std::move(*accepted), net::kMaxFrameBytes);
+
+  Rng rng(4343);
+  Bytes key(8);
+  Bytes payload(1001);
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+  Bytes want = key;
+  want.insert(want.end(), payload.begin(), payload.end());
+  const std::span<const std::uint8_t> parts[] = {{key.data(), key.size()},
+                                                 {payload.data(),
+                                                  payload.size()}};
+  const std::size_t frame_bytes = 5 + want.size();
+  const Bytes small{1, 2, 3};
+
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{3}}) {
+    auto clamp = std::make_shared<ClampEveryWrite>(limit);
+    tx.set_fault_injector(clamp);
+    tx.send(net::Op::kSegment, parts);
+    EXPECT_EQ(clamp->writes(), (frame_bytes + limit - 1) / limit);
+    std::optional<net::Frame> f = rx.recv();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_TRUE(f->is(net::Op::kSegment));
+    EXPECT_EQ(f->body, want);
+
+    tx.set_fault_injector(nullptr);
+    tx.send(net::Op::kStat, {small.data(), small.size()});
+    f = rx.recv();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_TRUE(f->is(net::Op::kStat));
+    EXPECT_EQ(f->body, small);
+  }
+}
+
 // A bit-flipped SEGMENT frame must surface as IntegrityError{kWire} naming
 // the segment — never as wrong reconstruction — and with retries disabled
 // it must fail fast.
@@ -468,11 +584,11 @@ TEST(Fault, WireBitFlipFastFailsTypedWhenRetriesDisabled) {
   remote.archive().set_fault_injector(plan);
 
   RetrievalPlan p = remote.plan(Request::full());
-  // EXECUTE issues two raw writes (head, body), then per reply frame a
-  // 4-byte length read and a body read whose chunk is [op][key u64][payload].
-  // Flip a payload bit of the first SEGMENT frame.
+  // EXECUTE is one raw write, then per reply frame a 4-byte length read and
+  // a body read whose chunk is [op][key u64][payload].  Flip a payload bit
+  // of the first SEGMENT frame.
   const std::uint64_t e = plan->io_ops();
-  plan->flip_at(e + 3, /*byte=*/9, /*bit=*/3);
+  plan->flip_at(e + 2, /*byte=*/9, /*bit=*/3);
   try {
     remote.execute(p);
     FAIL() << "expected IntegrityError at the wire boundary";
@@ -505,32 +621,34 @@ TEST(Fault, SeededScheduleRecoversAndStaysByteIdentical) {
   auto plan = std::make_shared<FaultPlan>(0);
   remote.archive().set_fault_injector(plan);
 
-  // Phase 1: benign faults — torn EXECUTE head write (twice: the retry of a
-  // torn write is itself torn) and an EINTR storm at the body write.  No
-  // recovery needed.
+  // Phase 1: benign faults — the EXECUTE write torn inside its head (twice:
+  // the retry of a torn write is itself torn), then an EINTR storm before
+  // the resumed write of the rest of the frame.  No recovery needed.
   RetrievalPlan p1 = remote.plan(Request::error_bound(1e-2));
   std::uint64_t e = plan->io_ops();
-  plan->torn_at(e).torn_at(e + 1).eintr_at(e + 4, 3);
+  plan->torn_at(e).torn_at(e + 1).eintr_at(e + 2, 3);
   remote.execute(p1);
   EXPECT_EQ(plan->torn(), 2u);
   EXPECT_EQ(plan->eintrs(), 3u);
   EXPECT_EQ(remote.recoveries(), 0u);
 
   // Phase 2: one flipped payload bit in the first SEGMENT frame of the next
-  // refinement → IntegrityError{kWire} → one recovery cycle.
+  // refinement (ordinals: e EXECUTE write, e+1 its length read, e+2 its
+  // body read) → IntegrityError{kWire} → one recovery cycle.
   RetrievalPlan p2 = remote.plan(Request::bytes(3000));
   e = plan->io_ops();
-  plan->flip_at(e + 3, /*byte=*/9, /*bit=*/5);
+  plan->flip_at(e + 2, /*byte=*/9, /*bit=*/5);
   remote.execute(p2);
   EXPECT_EQ(plan->flips(), 1u);
   EXPECT_EQ(remote.recoveries(), 1u);
   EXPECT_EQ(remote.retries(), 1u);
 
   // Phase 3: connection reset in the middle of the full retrieval's reply
-  // stream → second recovery cycle, RESUME now replays two requests.
+  // stream, at the body read of the second SEGMENT frame → second recovery
+  // cycle, RESUME now replays two requests.
   RetrievalPlan p3 = remote.plan(Request::full());
   e = plan->io_ops();
-  plan->reset_at(e + 5);
+  plan->reset_at(e + 4);
   remote.execute(p3);
   EXPECT_EQ(plan->resets(), 1u);
   EXPECT_EQ(remote.recoveries(), 2u);
